@@ -2,10 +2,9 @@
  * @file
  * Shared on-disk cache-directory plumbing.
  *
- * Two subsystems persist derived artifacts under one cache root: the
- * native-codegen `.so` cache (sim/codegen) and the verdict store
- * (src/store). Both need the same three things, hoisted here so their
- * semantics cannot drift apart:
+ * Persistent artifacts (the verdict store, src/store) live under one
+ * cache root. Their plumbing is hoisted here so every user shares one
+ * set of rules:
  *
  *  - one resolution rule for the cache root: $RMP_CACHE_DIR, else
  *    $HOME/.cache/rmp, else /tmp/rmp-cache — created on first use;

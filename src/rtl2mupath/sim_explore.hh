@@ -70,9 +70,6 @@ struct SimExploreConfig
      * [1, sim::kMaxLanes]). Results are lane-count invariant.
      */
     unsigned lanes = sim::kDefaultLanes;
-    /** Execution backend for the compiled engine (facts are backend
-     *  invariant by contract; Simd is the measured default). */
-    sim::SimBackend backend = sim::SimBackend::Simd;
     /** Worker threads fanning batches; results are thread-count
      *  invariant. */
     unsigned threads = 4;
@@ -104,7 +101,7 @@ struct SimFacts
 };
 
 /** Deep equality over facts, witnesses included. Used by the engine
- *  differential tests and bench_sim_throughput's identity verdict. */
+ *  differential tests (test_sim_compiled). */
 bool factsEqual(const SimFacts &x, const SimFacts &y);
 
 /** Explore @p iuv's behavior with random constrained simulation. */

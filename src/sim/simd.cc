@@ -45,14 +45,4 @@ simdEvalOps(const Tape &tp, uint64_t *vals, unsigned P)
         detail::evalOpsVec<detail::VPort<1>>(tp, vals, P);
 }
 
-const char *
-simdIsa(unsigned P)
-{
-    if (P >= 4 && avx2Available())
-        return "avx2";
-    if (P % detail::VWide::W == 0)
-        return detail::kWideIsa;
-    return "scalar";
-}
-
 } // namespace rmp::sim

@@ -1,6 +1,6 @@
 /**
  * @file
- * Public surface of the explicit-SIMD tape backend (DESIGN.md §3h).
+ * The compiled op-tape kernel behind sim::BatchSim (DESIGN.md §3h).
  *
  * simdEvalOps() evaluates a tape's op program over the SoA value array
  * with platform vector kernels — one dispatch per levelized same-opcode
@@ -8,11 +8,13 @@
  *
  *   P >= 4 and the CPU has AVX2  ->  4-lane AVX2 kernel (separate TU,
  *                                    only one compiled with -mavx2)
- *   P a multiple of the baseline ->  SSE2 / NEON / portable 4-lane
- *   otherwise (P in {1, 2})      ->  scalar kernel
+ *   P a multiple of the baseline ->  2-lane SSE2 / NEON, or the
+ *   vector width                     portable 4-lane kernel
+ *   otherwise                    ->  scalar kernel (P = 1, and P = 2
+ *                                    on the portable build)
  *
- * Bit-identical to the interpreted Simulator and the computed-goto tape
- * kernel by construction; the differential suites enforce it.
+ * Bit-identical to the interpreted Simulator by construction; the
+ * differential suites enforce it.
  */
 
 #ifndef SIM_SIMD_HH
@@ -28,10 +30,6 @@ namespace rmp::sim
 /** Evaluate @p tp's op program over @p P physical lanes of @p vals
  *  (vals[slot * P + lane]; P a power of two in [1, kMaxLanes]). */
 void simdEvalOps(const Tape &tp, uint64_t *vals, unsigned P);
-
-/** Name of the kernel simdEvalOps would pick for @p P physical lanes
- *  on this machine: "avx2", "sse2", "neon", "portable", or "scalar". */
-const char *simdIsa(unsigned P);
 
 } // namespace rmp::sim
 

@@ -1,13 +1,11 @@
 /**
  * @file
- * Internal vector-kernel templates for the explicit-SIMD tape backend
- * (DESIGN.md §3h, "Backend selection").
+ * Internal vector-kernel templates for the compiled op-tape kernel
+ * (DESIGN.md §3h, "The compiled kernel").
  *
  * The tape's SoA layout — vals[slot * P + lane] — makes every op a dense
- * strip of P independent 64-bit lanes. The interpreter (BatchSim's
- * computed-goto kernel) leans on the autovectorizer for that strip; the
- * kernels here vectorize it explicitly through a small vector-value
- * abstraction V:
+ * strip of P independent 64-bit lanes. The kernels here vectorize that
+ * strip explicitly through a small vector-value abstraction V:
  *
  *   VPort<W>  portable fixed-width array, plain loops (W = 1 is the
  *             scalar kernel used for P < the native vector width);
@@ -273,7 +271,6 @@ struct VSse2
 };
 
 using VWide = VSse2;
-inline constexpr const char *kWideIsa = "sse2";
 
 #elif defined(RMP_SIMD_HAVE_NEON)
 
@@ -370,12 +367,10 @@ struct VNeon
 };
 
 using VWide = VNeon;
-inline constexpr const char *kWideIsa = "neon";
 
 #else
 
 using VWide = VPort<4>;
-inline constexpr const char *kWideIsa = "portable";
 
 #endif
 

@@ -125,9 +125,6 @@ struct SynthLcConfig
      */
     unsigned simRuns = 160;
     uint64_t simSeed = 7;
-    /** Backend for compiled witness replay
-     *  (bmc::EngineConfig::simBackend). */
-    sim::SimBackend simBackend = sim::SimBackend::Tape;
     /**
      * Worker threads for parallel probe evaluation and taint simulation.
      * 0 = hardware_concurrency(). Results are identical for every value

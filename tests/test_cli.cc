@@ -184,18 +184,48 @@ TEST(Cli, SimLanesRejectsUnsupportedWidthsAtTheBoundary)
     }
 }
 
-TEST(Cli, SimBackendRejectsUnknownAndAcceptsKnown)
+TEST(Cli, NumericFlagsRejectMalformedValues)
 {
-    RunResult bad = run("bugs tiny3 --sim-backend bogus");
-    EXPECT_EQ(bad.status, 2);
-    EXPECT_TRUE(mentionsUsage(bad.output)) << bad.output;
+    // A numeric option takes its whole token as a decimal in the flag's
+    // range. Anything else is a usage error (exit 2): never an uncaught
+    // exception (exit 134), a silently truncated value or a wrapped
+    // thread count. Driven through `lint`, which starts no engine pool,
+    // so a count the parser failed to bound would still start no thread.
+    for (const char *bad : {
+             "--budget abc",                      // non-numeric
+             "--budget 12x",                      // trailing garbage
+             "--budget 99999999999999999999999",  // overflows 64 bits
+             "--budget -5",                       // negative, unsigned
+             "--budget ''",                       // empty
+             "--budget ' 7'",                     // leading space
+             "--jobs -1",                         // negative
+             "--jobs 100000",                     // over the ceiling
+             "--jobs 257",
+             "--sim-threads 4294967296",
+             "--workers 1000",
+             "--max-queue 0",                     // below the floor
+             "--max-queue 257",
+             "--max-bytes 1e6",
+             "--max-age-days 99999999999999999999",
+             "--priority 1.5",
+             "--priority 9999999999",             // beyond int
+             "--timeout -2",                      // below -1
+             "--timeout 5ms",
+         }) {
+        RunResult r = run(std::string("lint tiny3 ") + bad);
+        EXPECT_EQ(r.status, 2) << bad << ": " << r.output;
+        EXPECT_TRUE(mentionsUsage(r.output)) << bad << ": " << r.output;
+        EXPECT_NE(r.output.find("invalid --"), std::string::npos)
+            << bad << ": " << r.output;
+    }
+}
 
-    RunResult simd = run("bugs tiny3 --sim-backend simd");
-    EXPECT_EQ(simd.status, 0) << simd.output;
-    RunResult tape = run("bugs tiny3 --sim-backend tape");
-    EXPECT_EQ(tape.status, 0) << tape.output;
-    // Backends are bit-identical, so the reports must agree too.
-    EXPECT_EQ(simd.output, tape.output);
+TEST(Cli, NumericFlagsAcceptTheirRangeBounds)
+{
+    RunResult r = run("lint tiny3 --budget 18446744073709551615 --jobs 256"
+                      " --sim-threads 0 --workers 256 --max-queue 1"
+                      " --timeout -1 --priority -2147483648");
+    EXPECT_EQ(r.status, 0) << r.output;
 }
 
 TEST(Cli, CheckVerdictsRejectsUnknownMode)

@@ -1,32 +1,25 @@
 /**
  * @file
- * Differential tests for the SIMD and native execution backends
- * (DESIGN.md §3h, "Backend selection"). Two families:
+ * Boundary-width differential tests for the compiled kernel's ISA
+ * backends (DESIGN.md §3h, "The compiled kernel"). simdEvalOps picks
+ * its kernel by physical lane width — scalar below the vector width,
+ * AVX2 or the SSE2/NEON/portable vector kernel above — so sweeping every
+ * lane count in [1, kMaxLanes] runs every kernel this host can dispatch
+ * to, padding lanes included.
  *
- * 1. Boundary-width kernels. The vector kernels manipulate masked
- *    64-bit lanes, so the widths where mask handling can silently go
- *    wrong are 1 (everything collapses to one bit), 63 (the widest
- *    non-trivial mask, (1<<63)-1), and 64 (mask = ~0, where an
- *    unmasked shift≥width or carry out of bit 63 must wrap exactly).
- *    A width-65 case is impossible by construction: the IR caps every
- *    signal at 64 bits (Design::addBinary asserts concat ≤ 64), so the
- *    64-bit lane is the worst case, not a sample. Each width gets a
- *    toy design covering every tape opcode — including shift counts
- *    ≥ 64, which must yield 0 — replayed against the interpreted
- *    oracle on every backend × lane width.
- *
- * 2. Native-kernel cache behavior. The .so cache must hit (memory,
- *    then disk), miss on a stale fingerprint, reject a corrupted
- *    object, and fall back to the SIMD interpreter when no compiler
- *    is available — each observable through NativeKernel::stats() and
- *    BatchSim::activeBackend(), and none ever allowed to produce a
- *    wrong value.
+ * The vector kernels manipulate masked 64-bit lanes, so the widths where
+ * mask handling can silently go wrong are 1 (everything collapses to one
+ * bit), 63 (the widest non-trivial mask, (1<<63)-1), and 64 (mask = ~0,
+ * where an unmasked shift≥width or carry out of bit 63 must wrap
+ * exactly). A width-65 case is impossible by construction: the IR caps
+ * every signal at 64 bits (Design::addBinary asserts concat ≤ 64), so
+ * the 64-bit lane is the worst case, not a sample. Each width gets a toy
+ * design covering every tape opcode — including shift counts ≥ 64, which
+ * must yield 0 — replayed against the interpreted oracle.
  */
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-#include <fstream>
 #include <random>
 #include <string>
 #include <vector>
@@ -34,8 +27,6 @@
 #include "designs/harness.hh"
 #include "designs/tiny3.hh"
 #include "sim/batch.hh"
-#include "sim/codegen.hh"
-#include "sim/simd.hh"
 #include "sim/simulator.hh"
 #include "sim/tape.hh"
 
@@ -43,35 +34,6 @@ using namespace rmp;
 
 namespace
 {
-
-/** Point the native-kernel disk cache at a fresh private directory:
- *  ctest runs suites in parallel, so tests that count disk hits or
- *  plant corrupted objects must not share ~/.cache/rmp. */
-class ScopedCacheDir
-{
-  public:
-    ScopedCacheDir()
-    {
-        char tmpl[] = "/tmp/rmp-backends-XXXXXX";
-        dir_ = mkdtemp(tmpl);
-        if (const char *old = std::getenv("RMP_CACHE_DIR"))
-            saved_ = old;
-        setenv("RMP_CACHE_DIR", dir_.c_str(), 1);
-    }
-    ~ScopedCacheDir()
-    {
-        if (saved_.empty())
-            unsetenv("RMP_CACHE_DIR");
-        else
-            setenv("RMP_CACHE_DIR", saved_.c_str(), 1);
-        std::system(("rm -rf " + dir_).c_str());
-    }
-    const std::string &dir() const { return dir_; }
-
-  private:
-    std::string dir_;
-    std::string saved_;
-};
 
 /**
  * A toy design at bit width @p w exercising every tape opcode: the
@@ -149,15 +111,15 @@ randomProgram(const Design &d, unsigned cycles, uint64_t seed)
 }
 
 /** Mismatching (cycle, watch, lane) positions vs the interpreted
- *  oracle when running on @p backend with @p lanes lanes. */
+ *  oracle when running with @p lanes lanes. */
 size_t
 diffCount(const Design &d, const sim::Tape &tape, unsigned lanes,
-          sim::SimBackend backend, unsigned cycles, uint64_t seed)
+          unsigned cycles, uint64_t seed)
 {
     std::vector<std::vector<InputMap>> progs;
     for (unsigned l = 0; l < lanes; l++)
         progs.push_back(randomProgram(d, cycles, seed + 1000 * l));
-    sim::BatchSim bs(tape, lanes, backend);
+    sim::BatchSim bs(tape, lanes);
     bs.reserveTrace(cycles);
     std::vector<Simulator> oracle;
     for (unsigned l = 0; l < lanes; l++)
@@ -181,161 +143,18 @@ diffCount(const Design &d, const sim::Tape &tape, unsigned lanes,
 
 } // namespace
 
-TEST(SimBackends, BoundaryWidthsMatchOracleOnEveryBackendAndLaneWidth)
+TEST(SimKernel, BoundaryWidthsMatchOracleAtEveryLaneWidth)
 {
-    ScopedCacheDir cache;
-    const bool haveCc = sim::nativeCompilerAvailable();
     for (unsigned w : {1u, 63u, 64u}) {
         Design d = buildBoundary(w);
         sim::Tape tape = sim::compileTape(d, watchAll(d));
-        for (unsigned lanes : {1u, 2u, 4u, 8u, 16u}) {
-            EXPECT_EQ(diffCount(d, tape, lanes, sim::SimBackend::Simd,
-                                32, 101 + w),
-                      0u)
-                << "simd width " << w << " lanes " << lanes;
-            if (haveCc)
-                EXPECT_EQ(diffCount(d, tape, lanes,
-                                    sim::SimBackend::Native, 32,
-                                    101 + w),
-                          0u)
-                    << "native width " << w << " lanes " << lanes;
-        }
+        for (unsigned lanes = 1; lanes <= sim::kMaxLanes; lanes++)
+            EXPECT_EQ(diffCount(d, tape, lanes, 32, 101 + w), 0u)
+                << "width " << w << " lanes " << lanes;
     }
 }
 
-TEST(SimBackends, SimdIsaReportsSomething)
-{
-    // Whatever the host is, the dispatcher must name its choice.
-    for (unsigned p : {1u, 2u, 4u, 8u, 16u}) {
-        const char *isa = sim::simdIsa(p);
-        ASSERT_NE(isa, nullptr);
-        EXPECT_GT(std::string(isa).size(), 0u) << "P=" << p;
-    }
-}
-
-TEST(SimBackends, NativeCacheHitsMemoryThenDisk)
-{
-    if (!sim::nativeCompilerAvailable())
-        GTEST_SKIP() << "no C compiler on this host";
-    ScopedCacheDir cache;
-    designs::Harness hx(designs::buildTiny3());
-    sim::Tape tape =
-        sim::compileTape(hx.design(), watchAll(hx.design()));
-
-    sim::NativeKernel::resetStats();
-    auto k1 = sim::NativeKernel::acquire(tape, 4);
-    ASSERT_NE(k1, nullptr);
-    EXPECT_EQ(sim::NativeKernel::stats().compiles, 1u);
-
-    // Same tape while k1 is alive: the in-process registry answers.
-    auto k2 = sim::NativeKernel::acquire(tape, 4);
-    ASSERT_EQ(k2.get(), k1.get());
-    EXPECT_EQ(sim::NativeKernel::stats().memHits, 1u);
-
-    // Drop every reference, acquire again: the .so on disk answers.
-    std::string so = k1->path();
-    k1.reset();
-    k2.reset();
-    auto k3 = sim::NativeKernel::acquire(tape, 4);
-    ASSERT_NE(k3, nullptr);
-    EXPECT_EQ(sim::NativeKernel::stats().diskHits, 1u);
-    EXPECT_EQ(sim::NativeKernel::stats().compiles, 1u);
-    EXPECT_EQ(k3->path(), so);
-
-    // A different lane count is a different kernel (lanes are baked
-    // into the emitted C), so it compiles fresh.
-    auto k8 = sim::NativeKernel::acquire(tape, 8);
-    ASSERT_NE(k8, nullptr);
-    EXPECT_NE(k8->fingerprint(), k3->fingerprint());
-    EXPECT_EQ(sim::NativeKernel::stats().compiles, 2u);
-}
-
-TEST(SimBackends, NativeStaleFingerprintMisses)
-{
-    if (!sim::nativeCompilerAvailable())
-        GTEST_SKIP() << "no C compiler on this host";
-    ScopedCacheDir cache;
-    designs::Harness hx(designs::buildTiny3());
-    const Design &d = hx.design();
-    sim::Tape tape = sim::compileTape(d, watchAll(d));
-
-    // Plant the WRONG kernel at the tape's cache path: a valid .so
-    // whose embedded fingerprint belongs to a different tape (the
-    // same tape at a different lane count).
-    auto other = sim::NativeKernel::acquire(tape, 2);
-    ASSERT_NE(other, nullptr);
-    uint64_t fp = sim::tapeFingerprint(tape, 4);
-    char hex[32];
-    std::snprintf(hex, sizeof hex, "%016llx",
-                  static_cast<unsigned long long>(fp));
-    std::string victim =
-        sim::nativeCacheDir() + "/tape-" + hex + ".so";
-    ASSERT_EQ(std::system(
-                  ("cp " + other->path() + " " + victim).c_str()),
-              0);
-
-    sim::NativeKernel::resetStats();
-    auto k = sim::NativeKernel::acquire(tape, 4);
-    ASSERT_NE(k, nullptr);
-    EXPECT_EQ(sim::NativeKernel::stats().rejected, 1u)
-        << "the stale object must be unlinked, not trusted";
-    EXPECT_EQ(sim::NativeKernel::stats().compiles, 1u);
-    EXPECT_EQ(k->fingerprint(), fp);
-}
-
-TEST(SimBackends, NativeCorruptedObjectIsRejectedAndRebuilt)
-{
-    if (!sim::nativeCompilerAvailable())
-        GTEST_SKIP() << "no C compiler on this host";
-    ScopedCacheDir cache;
-    designs::Harness hx(designs::buildTiny3());
-    const Design &d = hx.design();
-    sim::Tape tape = sim::compileTape(d, watchAll(d));
-
-    uint64_t fp = sim::tapeFingerprint(tape, 4);
-    char hex[32];
-    std::snprintf(hex, sizeof hex, "%016llx",
-                  static_cast<unsigned long long>(fp));
-    std::string so = sim::nativeCacheDir() + "/tape-" + hex + ".so";
-    {
-        std::ofstream f(so, std::ios::binary);
-        f << "this is not an ELF object";
-    }
-
-    sim::NativeKernel::resetStats();
-    auto k = sim::NativeKernel::acquire(tape, 4);
-    ASSERT_NE(k, nullptr);
-    EXPECT_EQ(sim::NativeKernel::stats().rejected, 1u);
-    EXPECT_EQ(sim::NativeKernel::stats().compiles, 1u);
-    // And the rebuilt kernel computes correctly.
-    EXPECT_EQ(diffCount(d, tape, 4, sim::SimBackend::Native, 16, 7),
-              0u);
-}
-
-TEST(SimBackends, MissingCompilerFallsBackToSimd)
-{
-    ScopedCacheDir cache;
-    setenv("RMP_CC", "/nonexistent/definitely-not-a-compiler", 1);
-    designs::Harness hx(designs::buildTiny3());
-    const Design &d = hx.design();
-    sim::Tape tape = sim::compileTape(d, watchAll(d));
-
-    EXPECT_FALSE(sim::nativeCompilerAvailable());
-    sim::NativeKernel::resetStats();
-    EXPECT_EQ(sim::NativeKernel::acquire(tape, 4), nullptr);
-    EXPECT_GE(sim::NativeKernel::stats().fallbacks, 1u);
-
-    // Requesting the native backend must degrade, not fail: BatchSim
-    // lands on the SIMD interpreter and still matches the oracle.
-    sim::BatchSim bs(tape, 4, sim::SimBackend::Native);
-    EXPECT_EQ(bs.backend(), sim::SimBackend::Native);
-    EXPECT_EQ(bs.activeBackend(), sim::SimBackend::Simd);
-    EXPECT_EQ(diffCount(d, tape, 4, sim::SimBackend::Native, 16, 9),
-              0u);
-    unsetenv("RMP_CC");
-}
-
-TEST(SimBackends, FoldCacheReusesAcrossCompilesOfOneDesign)
+TEST(SimKernel, FoldCacheReusesAcrossCompilesOfOneDesign)
 {
     // Satellite property: the const-fold pass is computed once per
     // design and reused by later compileTape calls on any watch set
@@ -358,6 +177,6 @@ TEST(SimBackends, FoldCacheReusesAcrossCompilesOfOneDesign)
     EXPECT_EQ(t1.mask, t3.mask);
     // And the cached folding is watch-set independent: both tapes
     // still match the oracle exactly.
-    EXPECT_EQ(diffCount(d, t2, 2, sim::SimBackend::Simd, 16, 31), 0u);
-    EXPECT_EQ(diffCount(d, t3, 2, sim::SimBackend::Simd, 16, 33), 0u);
+    EXPECT_EQ(diffCount(d, t2, 2, 16, 31), 0u);
+    EXPECT_EQ(diffCount(d, t3, 2, 16, 33), 0u);
 }

@@ -10,7 +10,9 @@
  *
  * Also pins down the acceptance property of the exploration rewrite:
  * exploreSim facts are bit-identical across engines and across any
- * lane/thread count (factsEqual is deep, witnesses included).
+ * lane/thread count (factsEqual is deep, witnesses included), on every
+ * tiny3 instruction and the mcva artifact subset, and semi-formal
+ * synthesis renders byte-identical μPATHs on either engine.
  */
 
 #include <gtest/gtest.h>
@@ -20,10 +22,12 @@
 #include "designs/dcache.hh"
 #include "designs/harness.hh"
 #include "designs/mcva.hh"
+#include "designs/mcva_isa.hh"
 #include "designs/tiny3.hh"
+#include "report/report.hh"
 #include "rtl2mupath/sim_explore.hh"
+#include "rtl2mupath/synth.hh"
 #include "sim/batch.hh"
-#include "sim/codegen.hh"
 #include "sim/simulator.hh"
 #include "sim/tape.hh"
 
@@ -100,6 +104,22 @@ diffCount(const Design &d, const sim::Tape &tape,
                     diffs++;
     }
     return diffs;
+}
+
+/** The instructions the engine-equivalence tests cover on tiny3 (all
+ *  of them) or mcva (the artifact subset, sized to keep the suite fast). */
+std::vector<uhb::InstrId>
+equivalenceInstrs(const Harness &hx, bool mcva)
+{
+    std::vector<uhb::InstrId> ids;
+    if (mcva) {
+        for (const std::string &n : mcvaArtifactSubset())
+            ids.push_back(hx.duv().instrId(n));
+    } else {
+        for (uhb::InstrId i = 0; i < hx.duv().instrs.size(); i++)
+            ids.push_back(i);
+    }
+    return ids;
 }
 
 std::vector<std::vector<InputMap>>
@@ -278,11 +298,11 @@ TEST(SimCompiled, TraceValueBoundsCheckedInDebugBuilds)
 TEST(SimCompiled, ExploreFactsInvariantAcrossEnginesLanesThreadsBackends)
 {
     // The acceptance property of the exploration rewrite: SimFacts —
-    // witnesses included — are bit-identical across the engine choice,
-    // every lane/thread count (runs are seeded per (seed, iuv, run) and
-    // merged serially in run order), and every execution backend
-    // (DESIGN.md §3h: tape interpreter, SIMD kernels, native codegen).
-    const bool haveCc = sim::nativeCompilerAvailable();
+    // witnesses included — are bit-identical across the engine choice
+    // and every lane/thread count (runs are seeded per (seed, iuv, run)
+    // and merged serially in run order). The lane counts also span the
+    // compiled kernel's ISA backends: 1 lane runs the scalar kernel, the
+    // wider counts the vector ones (DESIGN.md §3h).
     for (const char *duv : {"tiny3", "mcva"}) {
         Harness hx(std::string(duv) == "tiny3" ? buildTiny3()
                                                : buildMcva());
@@ -297,26 +317,69 @@ TEST(SimCompiled, ExploreFactsInvariantAcrossEnginesLanesThreadsBackends)
         struct Cfg
         {
             unsigned lanes, threads;
-            sim::SimBackend backend;
         };
-        using B = sim::SimBackend;
-        for (Cfg c : {Cfg{1, 1, B::Tape}, Cfg{8, 4, B::Tape},
-                      Cfg{16, 3, B::Tape}, Cfg{5, 2, B::Tape},
-                      Cfg{1, 1, B::Simd}, Cfg{8, 4, B::Simd},
-                      Cfg{16, 3, B::Simd}, Cfg{5, 2, B::Simd},
-                      Cfg{8, 2, B::Native}, Cfg{16, 1, B::Native}}) {
-            if (c.backend == B::Native && !haveCc)
-                continue;
+        for (Cfg c : {Cfg{1, 1}, Cfg{8, 4}, Cfg{16, 3}, Cfg{5, 2}}) {
             r2m::SimExploreConfig cc = base;
             cc.engine = r2m::SimEngine::Compiled;
             cc.lanes = c.lanes;
             cc.threads = c.threads;
-            cc.backend = c.backend;
             r2m::SimFacts got = r2m::exploreSim(hx, iuv, cc);
             EXPECT_TRUE(r2m::factsEqual(ref, got))
-                << duv << " facts diverge at backend="
-                << sim::backendName(c.backend) << " lanes=" << c.lanes
+                << duv << " facts diverge at lanes=" << c.lanes
                 << " threads=" << c.threads;
         }
+    }
+}
+
+TEST(SimCompiled, ExploreFactsMatchOracleOnEveryInstruction)
+{
+    // Per-instruction differential on the default exploration config:
+    // every IUV's facts from the compiled engine equal the interpreted
+    // oracle's, witnesses included.
+    for (bool mcva : {false, true}) {
+        Harness hx(mcva ? buildMcva() : buildTiny3());
+        for (uhb::InstrId iuv : equivalenceInstrs(hx, mcva)) {
+            r2m::SimExploreConfig icfg;
+            icfg.runs = 300;
+            icfg.threads = 2;
+            icfg.engine = r2m::SimEngine::Interpreted;
+            r2m::SimExploreConfig ccfg = icfg;
+            ccfg.engine = r2m::SimEngine::Compiled;
+            EXPECT_TRUE(r2m::factsEqual(r2m::exploreSim(hx, iuv, icfg),
+                                        r2m::exploreSim(hx, iuv, ccfg)))
+                << hx.design().name() << " "
+                << hx.duv().instrs[iuv].name;
+        }
+    }
+}
+
+TEST(SimCompiled, SynthesizedPathsIdenticalAcrossEngines)
+{
+    // End to end: semi-formal synthesis seeded by either engine renders
+    // byte-identical μPATHs and decisions.
+    auto render = [](Harness &hx, bool mcva, r2m::SimEngine engine) {
+        r2m::SynthesisConfig cfg;
+        cfg.budget.maxConflicts = 300;
+        cfg.closureChecks = false;
+        cfg.jobs = 2;
+        cfg.explore.runs = 800;
+        cfg.explore.threads = 2;
+        cfg.explore.engine = engine;
+        r2m::MuPathSynthesizer synth(hx, cfg);
+        std::vector<uhb::InstrId> ids = equivalenceInstrs(hx, mcva);
+        auto all = synth.synthesizeAll(ids);
+        std::string out;
+        for (uhb::InstrId i : ids) {
+            out += report::renderInstrPaths(hx, all.at(i));
+            out += report::renderDecisions(hx, all.at(i));
+        }
+        return out;
+    };
+    for (bool mcva : {false, true}) {
+        Harness hx(mcva ? buildMcva() : buildTiny3());
+        std::string interp = render(hx, mcva, r2m::SimEngine::Interpreted);
+        EXPECT_FALSE(interp.empty());
+        EXPECT_EQ(interp, render(hx, mcva, r2m::SimEngine::Compiled))
+            << hx.design().name();
     }
 }

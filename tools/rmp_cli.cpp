@@ -7,7 +7,9 @@
  * documented in docs/TUTORIAL.md along with a Perfetto walkthrough.
  */
 
+#include <charconv>
 #include <chrono>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -78,24 +80,20 @@ usage(std::FILE *f)
         "  --budget N     per-query SAT conflict budget (default 20000)\n"
         "  --closure      run the full BMC closure queries (slow, formal)\n"
         "  --counts       enumerate revisit cycle counts (mode (i))\n"
-        "  --jobs N       worker threads for property evaluation\n"
-        "                 (default: hardware concurrency; verdicts are\n"
+        "  --jobs N       worker threads for property evaluation, 0-256\n"
+        "                 (default 0 = hardware concurrency; verdicts are\n"
         "                 identical for every value)\n"
         "  --sim-lanes N  SoA lanes per compiled-simulation batch\n"
         "                 (supported widths: 1-16, rounded up to a power\n"
         "                 of two; default 8; results identical for every\n"
         "                 value)\n"
         "  --sim-threads N\n"
-        "                 threads fanning compiled-simulation batches\n"
-        "                 (default 4; results identical for every value)\n"
-        "  --sim-backend interp|tape|simd|native\n"
-        "                 simulation execution backend (default simd):\n"
-        "                 'interp' = interpreted reference simulator,\n"
-        "                 'tape' = compiled op-tape interpreter, 'simd' =\n"
-        "                 explicit vector kernels, 'native' = per-design\n"
-        "                 compiled C (falls back to simd without a C\n"
-        "                 compiler); results identical for every backend\n"
-        "  --sim-interp   shorthand for --sim-backend interp\n"
+        "                 threads fanning compiled-simulation batches,\n"
+        "                 0-256 (default 4; results identical for every\n"
+        "                 value)\n"
+        "  --sim-interp   explore on the interpreted reference simulator\n"
+        "                 instead of the compiled kernel (slower; results\n"
+        "                 identical)\n"
         "  --coi          unroll only each query's sequential cone of\n"
         "                 influence (verdicts unchanged; prints COI stats)\n"
         "  --static-prune / --no-static-prune\n"
@@ -124,13 +122,15 @@ usage(std::FILE *f)
         "  --workers N    daemon job workers; requests are hashed to a\n"
         "                 worker by (DUV, config) so repeated keys stay\n"
         "                 byte-identical while distinct keys run\n"
-        "                 concurrently (default: hardware concurrency)\n"
+        "                 concurrently; 0-256 (default 0 = hardware\n"
+        "                 concurrency)\n"
         "  --max-queue N  per-worker daemon queue bound before"
-        " backpressure\n"
-        "                 (default 64)\n"
+        " backpressure,\n"
+        "                 1-256 (default 64)\n"
         "  --no-store     daemon: do not attach the verdict store\n"
         "  --priority N   client: job priority (higher runs first)\n"
-        "  --timeout MS   client: per-read response timeout\n"
+        "  --timeout MS   client: per-read response timeout (default -1\n"
+        "                 = wait forever)\n"
         "  --follow       client: request streaming progress events and\n"
         "                 print them to stderr as they arrive\n"
         "  --max-bytes N  store gc: evict oldest records until the live\n"
@@ -157,6 +157,35 @@ usageError(const char *fmt, const char *arg)
     std::fprintf(stderr, "\n\n");
     usage(stderr);
     std::exit(2);
+}
+
+/** Ceiling for --jobs, --sim-threads, --workers and --max-queue: far
+ *  above any core count the tool is run on, and low enough that a typo
+ *  cannot start a million threads. */
+constexpr unsigned kMaxCount = 256;
+
+/**
+ * Value of numeric option @p flag: the whole token @p v must be a decimal
+ * integer in [@p lo, @p hi]; anything else (sign on an unsigned option,
+ * trailing characters, overflow, out of range) is a usage error.
+ * @p what names the values in the message.
+ */
+template <typename T>
+T
+parseNumber(const char *flag, const std::string &v, T lo, T hi,
+            const char *what = "values")
+{
+    T n{};
+    const char *end = v.data() + v.size();
+    auto [ptr, ec] = std::from_chars(v.data(), end, n);
+    if (ec != std::errc() || ptr != end || n < lo || n > hi) {
+        std::string fmt = std::string("invalid ") + flag +
+                          " '%s' (supported " + what + ": " +
+                          std::to_string(lo) + " to " + std::to_string(hi) +
+                          ")";
+        usageError(fmt.c_str(), v.c_str());
+    }
+    return n;
 }
 
 DuvUnderConstruction
@@ -199,7 +228,6 @@ struct CliOptions
     unsigned simLanes = sim::kDefaultLanes;
     unsigned simThreads = 4;
     bool simInterp = false;
-    sim::SimBackend simBackend = sim::SimBackend::Simd;
     std::string dotDir;
     std::string vcdFile;
     std::string traceFile;
@@ -230,8 +258,11 @@ parseOptions(int argc, char **argv, int first)
                 usageError("option %s requires an argument", flag);
             return std::string(argv[++i]);
         };
+        auto num = [&](const char *flag, auto lo, auto hi) {
+            return parseNumber(flag, need(flag), lo, hi);
+        };
         if (a == "--budget")
-            o.budget = std::stoull(need("--budget"));
+            o.budget = num("--budget", uint64_t(0), UINT64_MAX);
         else if (a == "--closure")
             o.closure = true;
         else if (a == "--counts")
@@ -263,38 +294,14 @@ parseOptions(int argc, char **argv, int first)
         else if (a == "--progress")
             o.progress = true;
         else if (a == "--jobs")
-            o.jobs = static_cast<unsigned>(std::stoul(need("--jobs")));
-        else if (a == "--sim-lanes") {
-            // Validate at the CLI boundary: BatchSim asserts on bad lane
-            // counts, which is a crash, not a diagnostic.
-            std::string v = need("--sim-lanes");
-            char *end = nullptr;
-            unsigned long n = std::strtoul(v.c_str(), &end, 10);
-            if (end == v.c_str() || *end != '\0' || n < 1 ||
-                n > sim::kMaxLanes)
-                usageError("invalid --sim-lanes '%s' (supported widths: "
-                           "1 to 16, rounded up to a power of two)",
-                           v.c_str());
-            o.simLanes = static_cast<unsigned>(n);
-        }
-        else if (a == "--sim-backend") {
-            std::string v = need("--sim-backend");
-            if (v == "interp")
-                o.simInterp = true;
-            else if (v == "tape")
-                o.simBackend = sim::SimBackend::Tape;
-            else if (v == "simd")
-                o.simBackend = sim::SimBackend::Simd;
-            else if (v == "native")
-                o.simBackend = sim::SimBackend::Native;
-            else
-                usageError("unknown --sim-backend '%s' (choose interp, "
-                           "tape, simd, or native)",
-                           v.c_str());
-        }
+            o.jobs = num("--jobs", 0U, kMaxCount);
+        else if (a == "--sim-lanes")
+            // BatchSim asserts on bad lane counts, which is a crash, not
+            // a diagnostic.
+            o.simLanes = parseNumber("--sim-lanes", need("--sim-lanes"), 1U,
+                                     sim::kMaxLanes, "widths");
         else if (a == "--sim-threads")
-            o.simThreads =
-                static_cast<unsigned>(std::stoul(need("--sim-threads")));
+            o.simThreads = num("--sim-threads", 0U, kMaxCount);
         else if (a == "--sim-interp")
             o.simInterp = true;
         else if (a == "--store")
@@ -306,23 +313,25 @@ parseOptions(int argc, char **argv, int first)
         else if (a == "--socket")
             o.socket = need("--socket");
         else if (a == "--workers")
-            o.workers =
-                static_cast<unsigned>(std::stoul(need("--workers")));
+            o.workers = num("--workers", 0U, kMaxCount);
         else if (a == "--max-queue")
-            o.maxQueue =
-                static_cast<unsigned>(std::stoul(need("--max-queue")));
+            o.maxQueue = num("--max-queue", 1U, kMaxCount);
         else if (a == "--follow")
             o.follow = true;
         else if (a == "--max-bytes")
-            o.gcMaxBytes = std::stoull(need("--max-bytes"));
+            o.gcMaxBytes = num("--max-bytes", uint64_t(0), UINT64_MAX);
         else if (a == "--max-age-days")
-            o.gcMaxAgeDays = std::stoull(need("--max-age-days"));
+            // Bounded so the conversion to seconds cannot wrap.
+            o.gcMaxAgeDays =
+                num("--max-age-days", uint64_t(0), UINT64_MAX / 86'400);
         else if (a == "--no-store")
             o.noStore = true;
         else if (a == "--priority")
-            o.priority = std::stoll(need("--priority"));
+            // int range: the daemon reads JSON numbers as doubles,
+            // which hold every int exactly.
+            o.priority = num("--priority", int64_t(INT_MIN), int64_t(INT_MAX));
         else if (a == "--timeout")
-            o.timeoutMs = static_cast<int>(std::stol(need("--timeout")));
+            o.timeoutMs = num("--timeout", -1, INT_MAX);
         else if (a == "--dot")
             o.dotDir = need("--dot");
         else if (a == "--vcd")
@@ -355,7 +364,6 @@ synthConfig(const CliOptions &o)
                                    : r2m::SimEngine::Compiled;
     c.explore.lanes = o.simLanes;
     c.explore.threads = o.simThreads;
-    c.explore.backend = o.simBackend;
     return c;
 }
 
@@ -544,7 +552,6 @@ cmdLeakage(const std::string &duv, const std::string &instr,
     lc.staticPrune = o.staticPrune;
     lc.auditReplay = o.checkReplay;
     lc.auditProof = o.checkProof;
-    lc.simBackend = o.simBackend;
     lc.store = store.get();
     slc::SynthLc slc(hx, lc);
     uhb::InstrId p = hx.duv().instrId(instr);
@@ -582,7 +589,6 @@ cmdContracts(const std::string &duv, const CliOptions &o)
     lc.staticPrune = o.staticPrune;
     lc.auditReplay = o.checkReplay;
     lc.auditProof = o.checkProof;
-    lc.simBackend = o.simBackend;
     lc.store = store.get();
     slc::SynthLc slc(hx, lc);
     std::vector<std::string> names = o.instrs;
